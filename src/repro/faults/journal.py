@@ -26,6 +26,7 @@ it means the journal itself is corrupt.
 import json
 import os
 
+from repro.core.migration import MigrationPlan, Move
 from repro.errors import FaultError
 
 VERSION = 1
@@ -154,6 +155,25 @@ class MigrationJournal:
     def remaining(self):
         """Chunk indices still to copy, in order."""
         return [i for i in range(len(self.chunks)) if i not in self.done]
+
+    def plan(self):
+        """The :class:`~repro.core.migration.MigrationPlan` this journal
+        records, rebuilt for a resumed migrator."""
+        moves = [
+            Move(obj=m["obj"], source=m["source"],
+                 destination=m["destination"], bytes=int(m["bytes"]))
+            for m in self.moves
+        ]
+        reads, writes = {}, {}
+        for move in moves:
+            reads[move.source] = reads.get(move.source, 0) + move.bytes
+            writes[move.destination] = (
+                writes.get(move.destination, 0) + move.bytes
+            )
+        return MigrationPlan(
+            moves=moves, total_bytes=sum(m.bytes for m in moves),
+            bytes_read=reads, bytes_written=writes,
+        )
 
     def matches(self, plan, chunk):
         """True when this journal describes exactly this migration."""

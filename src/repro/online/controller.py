@@ -20,25 +20,23 @@ runs.  :class:`OnlineController` is that closed loop:
 5. accepted layouts are brought online by a
    :class:`~repro.online.executor.ThrottledMigrator` — background copy
    I/O contending with foreground streams — and the placement map is
-   swapped only when the copy finishes.
+   swapped only when the copy finishes.  Without a simulator the
+   layout takes effect after the estimated copy time, paced by trace
+   time and journaled when ``journal_dir`` is set (the served mode).
 
 Every decision is recorded in an :class:`~repro.online.events.EventLog`.
 """
 
 import os
+import re
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro import units
 from repro.core.layout import Layout
-from repro.core.migration import (
-    MigrationPlan,
-    Move,
-    migration_cost_seconds,
-    plan_migration,
-)
+from repro.core.migration import migration_cost_seconds, plan_migration
 from repro.core.pinning import PinningConstraints
 from repro.core.problem import LayoutProblem, TargetSpec
 from repro.core.regularize import regularize
@@ -102,10 +100,11 @@ class ControllerConfig:
             :class:`~repro.faults.detector.FailureDetector`); used when
             :meth:`OnlineController.attach_faults` builds the detector.
         journal_dir: Directory for crash-safe migration journals.  When
-            set (and running live), every accepted migration writes a
-            chunk-level journal there and
-            :meth:`OnlineController.resume_migration` can finish an
-            interrupted copy after a crash.
+            set, every accepted migration writes a chunk-level journal
+            there and :meth:`OnlineController.resume_migration` can
+            finish an interrupted copy after a crash.  Without a live
+            context the copy is then paced by trace time (see
+            :meth:`OnlineController.pump_migration`).
     """
 
     check_interval_s: float = 5.0
@@ -162,7 +161,14 @@ class _PendingMigration:
     plan_bytes: int = 0
     span: object = None
     journal: object = None
-    events: dict = field(default_factory=dict)
+    #: Estimated copy time of a trace-paced migration (no live
+    #: context, journaled); None for throttled and virtual ones.
+    cost_s: float = None
+
+
+#: Journal file names under ``ControllerConfig.journal_dir``.
+_JOURNAL_NAME = "migration-%04d.jsonl"
+_JOURNAL_RE = re.compile(r"migration-(\d+)\.jsonl$")
 
 
 class OnlineController:
@@ -182,8 +188,9 @@ class OnlineController:
         ctx: Optional live :class:`~repro.storage.streams.SimContext`.
             With a context, migrations run as throttled background I/O
             and the placement map is swapped on completion; without
-            one (replay mode) accepted layouts take effect after the
-            *estimated* migration time.
+            one accepted layouts take effect after the *estimated*
+            migration time — virtually, or paced by trace time when
+            ``config.journal_dir`` is set.
         physical_capacities: Per-target byte capacities for rebuilding
             the placement map (defaults to the live targets' device
             capacities, falling back to the solve capacities).
@@ -197,12 +204,25 @@ class OnlineController:
             counted in ``repro_online_resolves_total``, and the event
             log (when the controller builds its own) forwards every
             event through the same tracer/metric plumbing.
+        solve_fn: Optional blocking callable ``(problem, initial_layout)
+            -> (SolveResult, watchdog rung)`` that runs drift re-solves
+            elsewhere (the service routes them through its fair-scheduled
+            solver pool); ``None`` solves in-process.
+        on_swap: Optional callable, given the journal's basename right
+            after a journaled migration commits and installs.  The
+            journal's commit record always lands first; that ordering is
+            what crash recovery relies on.
+
+    Without a live context the loop runs on trace time: :meth:`advance`
+    feeds records incrementally, holding the check clock between calls,
+    and :meth:`replay` is one :meth:`advance` plus a final check.
     """
 
     def __init__(self, targets, object_sizes, initial_layout,
                  solved_workloads, ctx=None, physical_capacities=None,
                  stripe_size=units.DEFAULT_STRIPE_SIZE, config=None,
-                 monitor=None, detector=None, log=None, obs=None):
+                 monitor=None, detector=None, log=None, obs=None,
+                 solve_fn=None, on_swap=None):
         self.config = config or ControllerConfig()
         self.obs = ensure_obs(obs)
         self.targets = list(targets)
@@ -234,6 +254,11 @@ class OnlineController:
         self.emergency_resolves = 0
         self._solver_chaos = None
         self._journal_seq = 0
+        self.solve_fn = solve_fn
+        self.on_swap = on_swap
+        #: Trace time of the next drift check (set by the first record
+        #: :meth:`advance` sees).
+        self._next_check = None
 
         now = ctx.engine.now if ctx is not None else 0.0
         solved_util = self._predicted_util(self.solved_workloads, self.layout)
@@ -476,36 +501,17 @@ class OnlineController:
                 plan_bytes=plan.total_bytes,
             ),
         )
-        if self.ctx is not None:
-            self.migrating = True
-            self._pending = pending
-            pending.journal = self._open_journal(plan, candidate, fitted,
-                                                 new_util, now)
-            pending.migrator = ThrottledMigrator(
-                self.ctx, plan,
-                chunk=self.config.migration_chunk,
-                window=self.config.migration_window,
-                pace_s=self.config.migration_pace_s,
-                on_done=self._migration_done,
-                metrics=self.obs.metrics,
-                journal=pending.journal,
-            ).start()
-        else:
-            # Replay / advisory mode: no simulator to copy through; the
-            # layout takes effect after the estimated migration time.
-            finish = now + cost_s
-            self._install(pending, finish, bytes_moved=plan.total_bytes,
-                          elapsed_s=cost_s, virtual=True)
+        self._start_migration(pending, plan, now)
 
     def _run_solve(self, problem):
         """Run one drift re-solve; returns ``(SolveResult, rung)``.
 
-        The solve itself is a hook: the default runs in-process (under
-        the watchdog when a budget is configured), while the serving
-        layer's :class:`~repro.serve.tenant.ServedController` overrides
-        it to route the work through the shared, fairness-scheduled
-        solver pool.
+        Routed through ``solve_fn`` when one was given; otherwise the
+        solve runs in-process, under the watchdog when a budget is
+        configured.
         """
+        if self.solve_fn is not None:
+            return self.solve_fn(problem, self.layout)
         if self.config.solve_budget_s is not None:
             watchdog = solve_with_watchdog(
                 problem, initial=self.layout, warm_start=True,
@@ -522,57 +528,139 @@ class OnlineController:
             obs=self.obs,
         ), ""
 
-    def _journal_meta(self, candidate, fitted, predicted_util, now):
-        """The journal ``meta`` block: everything
-        :meth:`resume_migration` needs to rebuild the pending state in
-        a fresh controller."""
-        return {
-            "layout": {name: [float(f) for f in row] for name, row in
-                       candidate.fractions_by_name().items()},
-            "objects": list(self.object_names),
-            "targets": list(self.target_names),
-            "predicted_util": float(predicted_util),
-            "accepted_at": float(now),
-            "fitted": [asdict(w) for w in fitted],
-        }
+    # ------------------------------------------------------------------
+    # Migration: start, pace, commit
+    # ------------------------------------------------------------------
 
-    def _open_journal(self, plan, candidate, fitted, predicted_util, now):
-        """Create a crash-recovery journal for an accepted migration.
+    def _start_migration(self, pending, plan, now, resumed=None):
+        """Bring an accepted (or resumed) layout online.
 
-        The ``meta`` block carries everything
-        :meth:`resume_migration` needs to rebuild the pending state in
-        a fresh controller: the accepted layout, the fitted workloads
-        it was solved for, and the accept-time bookkeeping.
+        The path follows from what the controller has:
+
+        * a live ``ctx`` — a :class:`ThrottledMigrator` copies the plan
+          as background I/O (journaled when ``journal_dir`` is set) and
+          the placement swaps when it finishes;
+        * no ``ctx`` but a ``journal_dir`` — the plan is journaled at
+          accept, so a drain or crash before completion leaves a
+          resumable journal, and :meth:`pump_migration` paces the copy
+          by trace time;
+        * otherwise — the layout takes effect virtually after the
+          estimated migration time.
+
+        ``resumed`` is a loaded journal being finished after a crash;
+        without a ``ctx`` its copy counts as done at once.
         """
-        if self.config.journal_dir is None or self.ctx is None:
-            return None
+        cost_s = migration_cost_seconds(
+            plan, transfer_bps=self.config.transfer_bps
+        )
+        journal = resumed
+        if (journal is None and plan.total_bytes > 0
+                and self.config.journal_dir is not None):
+            journal = self._create_journal(plan, pending)
+        pending.journal = journal
+        if self.ctx is not None and plan.total_bytes > 0:
+            pending.migrator = ThrottledMigrator(
+                self.ctx, plan,
+                chunk=(journal.chunk if journal is not None
+                       else self.config.migration_chunk),
+                window=self.config.migration_window,
+                pace_s=self.config.migration_pace_s,
+                on_done=self._migration_done,
+                metrics=self.obs.metrics,
+                journal=journal,
+            )
+            self._pending, self.migrating = pending, True
+            pending.migrator.start()
+        elif journal is not None and resumed is None:
+            pending.cost_s = cost_s
+            self._pending, self.migrating = pending, True
+            self.log.emit(now, "migration-journaled",
+                          journal=os.path.basename(journal.path),
+                          plan_bytes=plan.total_bytes,
+                          cost_s=round(cost_s, 4))
+        else:
+            if journal is not None:
+                for index in journal.remaining():
+                    journal.record_chunk(index)
+            self._install(pending, now + cost_s,
+                          bytes_moved=plan.total_bytes, elapsed_s=cost_s,
+                          virtual=True)
+
+    def _create_journal(self, plan, pending):
+        """Create the crash-recovery journal for an accepted migration.
+
+        Its ``meta`` block carries everything :meth:`resume_migration`
+        needs to rebuild the pending state in a fresh controller: the
+        accepted layout, the fitted workloads it was solved for, and the
+        accept-time bookkeeping.
+        """
         os.makedirs(self.config.journal_dir, exist_ok=True)
         self._journal_seq += 1
         path = os.path.join(self.config.journal_dir,
-                            "migration-%04d.jsonl" % self._journal_seq)
-        meta = self._journal_meta(candidate, fitted, predicted_util, now)
+                            _JOURNAL_NAME % self._journal_seq)
+        meta = {
+            "layout": {name: [float(f) for f in row] for name, row in
+                       pending.layout.fractions_by_name().items()},
+            "objects": list(self.object_names),
+            "targets": list(self.target_names),
+            "predicted_util": float(pending.predicted_util),
+            "accepted_at": float(pending.accepted_at),
+            "fitted": [asdict(w) for w in pending.fitted],
+        }
         return MigrationJournal.create(path, plan,
                                        self.config.migration_chunk,
                                        meta=meta)
 
-    def _migration_done(self, migrator):
+    def pump_migration(self, now):
+        """Advance a trace-paced migration to trace time ``now``.
+
+        Chunks are recorded in the journal proportionally to elapsed
+        trace time over the estimated copy duration; once the estimate
+        has fully elapsed the journal is committed and the layout
+        installed.  Returns True when a migration completed.
+        """
         pending = self._pending
-        self._pending = None
-        self.migrating = False
-        placement = PlacementMap(
-            self.object_sizes, pending.layout.fractions_by_name(),
-            self.physical_capacities, stripe_size=self.stripe_size,
+        if pending is None or pending.cost_s is None:
+            return False
+        journal = pending.journal
+        if pending.cost_s <= 0:
+            fraction = 1.0
+        else:
+            fraction = (float(now) - pending.accepted_at) / pending.cost_s
+        fraction = max(0.0, min(1.0, fraction))
+        target = journal.total_chunks if fraction >= 1.0 else int(
+            fraction * journal.total_chunks
         )
-        self.ctx.set_placement(placement)
-        if pending.journal is not None:
-            # The placement swap is the migration's commit point.
-            pending.journal.record_commit()
-            pending.journal.close()
-        self._install(pending, self.ctx.engine.now,
+        for index in range(target):
+            journal.record_chunk(index)
+        if fraction < 1.0:
+            return False
+        self._install(pending, now, bytes_moved=pending.plan_bytes,
+                      elapsed_s=pending.cost_s, virtual=True)
+        return True
+
+    def _migration_done(self, migrator):
+        self.ctx.set_placement(PlacementMap(
+            self.object_sizes, self._pending.layout.fractions_by_name(),
+            self.physical_capacities, stripe_size=self.stripe_size,
+        ))
+        self._install(self._pending, self.ctx.engine.now,
                       bytes_moved=migrator.bytes_moved,
                       elapsed_s=migrator.elapsed_s, virtual=False)
 
     def _install(self, pending, now, bytes_moved, elapsed_s, virtual):
+        """Make a finished migration's layout the current one.
+
+        A journaled migration commits first — the placement swap is its
+        commit point — and only then reports through ``on_swap``.
+        """
+        if self._pending is pending:
+            self._pending = None
+            self.migrating = False
+        journal = pending.journal
+        if journal is not None:
+            journal.record_commit()
+            journal.close()
         self.layout = pending.layout
         self.solved_workloads = pending.fitted
         self.detector.rebase(pending.fitted, pending.predicted_util, now)
@@ -586,6 +674,8 @@ class OnlineController:
                       elapsed_s=round(float(elapsed_s), 4),
                       virtual=virtual,
                       accepted_at=round(pending.accepted_at, 4))
+        if journal is not None and self.on_swap is not None:
+            self.on_swap(os.path.basename(journal.path))
 
     # ------------------------------------------------------------------
     # Faults: degraded-mode operation and emergency evacuation
@@ -770,9 +860,6 @@ class OnlineController:
             # Evacuation first: chunks leaving dead targets copy before
             # load-balancing shuffles between healthy ones.
             plan.moves.sort(key=lambda m: (m.source not in dead, -m.bytes))
-        cost_s = migration_cost_seconds(
-            plan, transfer_bps=self.config.transfer_bps
-        )
 
         self.emergency_resolves += 1
         self.obs.metrics.counter("repro_online_resolves_total",
@@ -800,66 +887,60 @@ class OnlineController:
                 plan_bytes=plan.total_bytes,
             ),
         )
-        if self.ctx is not None and plan.total_bytes > 0:
-            self.migrating = True
-            self._pending = pending
-            pending.journal = self._open_journal(plan, candidate, fitted,
-                                                 new_util, now)
-            pending.migrator = ThrottledMigrator(
-                self.ctx, plan,
-                chunk=self.config.migration_chunk,
-                window=self.config.migration_window,
-                pace_s=self.config.migration_pace_s,
-                on_done=self._migration_done,
-                metrics=self.obs.metrics,
-                journal=pending.journal,
-            ).start()
-        else:
-            finish = now if self.ctx is not None else now + cost_s
-            self._install(pending, finish, bytes_moved=plan.total_bytes,
-                          elapsed_s=cost_s, virtual=True)
+        self._start_migration(pending, plan, now)
 
     # ------------------------------------------------------------------
     # Crash recovery
     # ------------------------------------------------------------------
 
-    def resume_migration(self, journal_path):
-        """Finish a migration whose process died mid-copy.
+    def journals(self):
+        """Every migration journal in ``config.journal_dir``, in order.
 
-        Rebuilds the accepted layout, the fitted workloads, and the
-        movement plan from the journal's meta block, then re-runs the
-        migrator with the journal attached — chunks already recorded
-        are skipped, so only the tail of the copy happens again.  A
-        journal that already holds its commit record needs nothing (the
-        placement swap happened before the crash).  Returns the loaded
-        journal.
+        Returns ``[(path, MigrationJournal), ...]`` and advances the
+        journal sequence past each file, so journals this controller
+        creates never collide with a predecessor's.
         """
-        journal = MigrationJournal.load(journal_path)
-        if journal.committed:
-            return journal
+        directory = self.config.journal_dir
+        if directory is None or not os.path.isdir(directory):
+            return []
+        found = []
+        for name in sorted(os.listdir(directory)):
+            match = _JOURNAL_RE.match(name)
+            if not match:
+                continue
+            self._journal_seq = max(self._journal_seq, int(match.group(1)))
+            path = os.path.join(directory, name)
+            found.append((path, MigrationJournal.load(path)))
+        return found
+
+    def _journal_state(self, journal):
+        """The accepted layout and fitted workloads a journal records."""
         meta = journal.meta
         layout = self._aligned(Layout(
             [meta["layout"][obj] for obj in meta["objects"]],
             meta["objects"], meta["targets"],
         ))
         fitted = [ObjectWorkload(**spec) for spec in meta.get("fitted", [])]
-        if not fitted:
-            fitted = list(self.solved_workloads)
-        moves = [
-            Move(obj=m["obj"], source=m["source"],
-                 destination=m["destination"], bytes=int(m["bytes"]))
-            for m in journal.moves
-        ]
-        reads, writes = {}, {}
-        for move in moves:
-            reads[move.source] = reads.get(move.source, 0) + move.bytes
-            writes[move.destination] = (
-                writes.get(move.destination, 0) + move.bytes
-            )
-        plan = MigrationPlan(
-            moves=moves, total_bytes=sum(m.bytes for m in moves),
-            bytes_read=reads, bytes_written=writes,
-        )
+        return layout, fitted or list(self.solved_workloads)
+
+    def resume_migration(self, journal_path):
+        """Finish a migration whose process died mid-copy.
+
+        Rebuilds the accepted layout, the fitted workloads, and the
+        movement plan from the journal's meta block.  With a live
+        context the migrator re-runs with the journal attached — chunks
+        already recorded are skipped, so only the tail of the copy
+        happens again; without one the copy counts as done and the
+        journal is committed at once.  A journal that already holds its
+        commit record needs nothing (the placement swap happened before
+        the crash), so resuming the same journal twice is a no-op.
+        Returns the loaded journal.
+        """
+        journal = MigrationJournal.load(journal_path)
+        if journal.committed:
+            return journal
+        layout, fitted = self._journal_state(journal)
+        plan = journal.plan()
         now = self._now()
         self.log.emit(now, "resume",
                       journal=os.path.basename(str(journal_path)),
@@ -867,62 +948,95 @@ class OnlineController:
                       chunks_total=journal.total_chunks)
         pending = _PendingMigration(
             layout=layout, fitted=fitted,
-            predicted_util=float(meta.get("predicted_util", 0.0)),
-            accepted_at=float(meta.get("accepted_at", now)),
-            plan_bytes=plan.total_bytes, journal=journal,
+            predicted_util=float(journal.meta.get("predicted_util", 0.0)),
+            accepted_at=float(journal.meta.get("accepted_at", now)),
+            plan_bytes=plan.total_bytes,
         )
-        if self.ctx is not None:
-            self.migrating = True
-            self._pending = pending
-            pending.migrator = ThrottledMigrator(
-                self.ctx, plan, chunk=journal.chunk,
-                window=self.config.migration_window,
-                pace_s=self.config.migration_pace_s,
-                on_done=self._migration_done,
-                metrics=self.obs.metrics,
-                journal=journal,
-            ).start()
-        else:
-            cost_s = migration_cost_seconds(
-                plan, transfer_bps=self.config.transfer_bps
-            )
-            self._install(pending, now + cost_s,
-                          bytes_moved=plan.total_bytes, elapsed_s=cost_s,
-                          virtual=True)
+        self._start_migration(pending, plan, now, resumed=journal)
+        return journal
+
+    def suspend_migration(self):
+        """Drain: flush and close a trace-paced migration's journal,
+        uncommitted.
+
+        The chunks recorded so far stay durable; the next incarnation
+        resumes from the journal and finishes the rest.  Returns the
+        journal path, or None when no paced migration is in flight.
+        """
+        pending = self._pending
+        if pending is None or pending.cost_s is None:
+            return None
+        pending.journal.close()
+        return pending.journal.path
+
+    def adopt_committed_swap(self, journal_path, now=0.0):
+        """Apply a committed journal's layout without re-copying.
+
+        Recovery calls this for a journal whose commit record landed but
+        whose swap never reached the caller's own log (the crash hit the
+        gap between the two).  The copy already happened; only the
+        in-memory layout and drift baseline need to catch up to it.
+        """
+        journal = MigrationJournal.load(journal_path)
+        if not (journal.meta or {}).get("layout"):
+            return journal
+        self.layout, self.solved_workloads = self._journal_state(journal)
+        now = max(float(now), float(journal.meta.get("accepted_at", 0.0)))
+        self.detector.rebase(self.solved_workloads,
+                             float(journal.meta.get("predicted_util", 0.0)),
+                             now)
+        self.log.emit(now, "adopt-swap",
+                      journal=os.path.basename(str(journal_path)))
         return journal
 
     # ------------------------------------------------------------------
     # Replay mode
     # ------------------------------------------------------------------
 
+    def advance(self, records):
+        """Run the loop over trace records, in ``finish_time`` order.
+
+        Records are fed through the monitor with a drift check every
+        ``check_interval_s`` of trace time; fault events (replay mode)
+        apply as the clock passes their times, and a trace-paced
+        migration advances with the clock.  The check clock persists
+        between calls, so a trace fed in many chunks makes the same
+        decisions as one fed whole.
+        """
+        interval = self.config.check_interval_s
+        for record in records:
+            if self._next_check is None:
+                self._next_check = record.finish_time + interval
+            while record.finish_time >= self._next_check:
+                self._poll_faults(self._next_check)
+                self.pump_migration(self._next_check)
+                self.check(self._next_check)
+                self._next_check += interval
+            self._poll_faults(record.finish_time)
+            self.monitor.observe(record)
+        if records:
+            self.pump_migration(records[-1].finish_time)
+
     def replay(self, records, end_time=None, faults=None):
         """Drive the loop from an archived trace instead of a live run.
 
-        Records are fed through the monitor in timestamp order with a
-        drift check every ``check_interval_s`` of trace time; accepted
-        layouts take effect virtually (after the estimated migration
-        time).  With ``faults`` (a
-        :class:`~repro.faults.injector.FaultInjector`), fault events
-        are applied as the trace clock passes their times, so chaos
-        scenarios replay deterministically.  Returns the event log.
+        :meth:`advance` over the sorted trace, then one final check at
+        ``end_time`` (default: the last record).  Accepted layouts take
+        effect virtually (after the estimated migration time).  With
+        ``faults`` (a :class:`~repro.faults.injector.FaultInjector`),
+        fault events are applied as the trace clock passes their times,
+        so chaos scenarios replay deterministically.  Returns the event
+        log.
         """
         if faults is not None and faults is not self.faults:
             self.attach_faults(faults)
-        records = sorted(
-            (r for r in records), key=lambda r: r.finish_time
-        )
+        records = sorted(records, key=lambda r: r.finish_time)
         if not records:
             return self.log
-        next_check = records[0].finish_time + self.config.check_interval_s
-        for record in records:
-            while record.finish_time >= next_check:
-                self._poll_faults(next_check)
-                self.check(next_check)
-                next_check += self.config.check_interval_s
-            self._poll_faults(record.finish_time)
-            self.monitor.observe(record)
+        self.advance(records)
         last = end_time if end_time is not None else records[-1].finish_time
-        last = max(last, next_check - self.config.check_interval_s)
+        last = max(last, self._next_check - self.config.check_interval_s)
         self._poll_faults(last)
+        self.pump_migration(last)
         self.check(last)
         return self.log

@@ -23,8 +23,7 @@ from repro.serve.service import (
     ServiceDrainingError,
     UnknownTenantError,
 )
-from repro.serve.tenant import ServedController, Tenant, \
-    records_from_payload
+from repro.serve.tenant import Tenant, records_from_payload
 
 __all__ = [
     "AdmissionError",
@@ -32,7 +31,6 @@ __all__ = [
     "FairScheduler",
     "PoolCrashError",
     "ServeConfig",
-    "ServedController",
     "ServiceDrainingError",
     "SolverPool",
     "Tenant",

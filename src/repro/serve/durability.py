@@ -17,7 +17,7 @@ layer crash-recoverable with the classic database recipe:
 * **periodic compacting snapshots**
   (``<state_dir>/<tenant>/snapshot-<n>.json``, written atomically via
   rename) fold the WAL into one self-contained state document — the
-  ``ServedController.status()``-shaped payload plus layout rows, the
+  ``Tenant.status()``-shaped payload plus layout rows, the
   monitor's decayed-window digest, the drift baseline, and the SLO
   window's high-water marks.  After a snapshot lands, the WAL restarts
   empty: recovery cost is bounded by the snapshot interval, not by

@@ -146,8 +146,9 @@ def resolve_job(problem, initial_matrix, options):
     """Warm-started drift re-solve for a served tenant, in a worker.
 
     Returns the candidate layout as a plain matrix plus diagnostics;
-    :class:`~repro.serve.tenant.ServedController` rebuilds a
-    :class:`~repro.core.solver.SolveResult` from it on the way back.
+    the service's re-solve hook rebuilds a
+    :class:`~repro.core.solver.SolveResult` from it on the way back
+    (:func:`rebuild_solve_result`).
     """
     import numpy as np
 

@@ -48,7 +48,7 @@ from repro.online.controller import ControllerConfig
 from repro.serve.durability import TenantWAL, recover_state_dir, \
     write_snapshot
 from repro.serve.pool import DeadlineError, SolverPool, advise_job, \
-    resolve_job
+    rebuild_solve_result, resolve_job
 from repro.serve.scheduler import (AdmissionError, FairScheduler,
                                    TenantGoneError)
 from repro.serve.tenant import Tenant, records_from_payload
@@ -299,21 +299,23 @@ class AdvisorService:
         the service already accepted the chunk, so shedding its follow-up
         would silently drop a control decision.
         """
-        def run(problem, initial_matrix):
+        def run(problem, initial):
             tenant = self._tenant(tenant_id)
             options = self._advise_options(tenant.config,
                                            {"regular": False})
             # The feed thread parked the active request's trace on the
             # tenant (under its lock) before entering the control loop;
             # the re-solve job joins that trace.
+            matrix = [[float(f) for f in row] for row in initial.matrix]
             future = asyncio.run_coroutine_threadsafe(
                 self.scheduler.submit(tenant_id, resolve_job, problem,
-                                      initial_matrix, options,
+                                      matrix, options,
                                       preadmitted=True,
                                       rtrace=tenant.active_rtrace),
                 self._loop,
             )
-            return future.result()
+            out = future.result()
+            return rebuild_solve_result(problem, out), out.get("rung", "")
         return run
 
     async def create_tenant(self, payload, rtrace=None, deadline=None,
@@ -441,22 +443,9 @@ class AdvisorService:
     def _resume_journals(self, tenant):
         """Finish uncommitted migrations a drained/crashed predecessor
         left in this tenant's state dir."""
-        journal_dir = tenant.config.journal_dir
-        if journal_dir is None or not os.path.isdir(journal_dir):
-            return 0
-        from repro.faults.journal import MigrationJournal
-
         resumed = 0
-        for name in sorted(os.listdir(journal_dir)):
-            match = re.match(r"migration-(\d+)\.jsonl$", name)
-            if not match:
-                continue
-            # New journals must not collide with a predecessor's files.
-            tenant.controller._journal_seq = max(
-                tenant.controller._journal_seq, int(match.group(1))
-            )
-            path = os.path.join(journal_dir, name)
-            if MigrationJournal.load(path).committed:
+        for path, journal in tenant.controller.journals():
+            if journal.committed:
                 continue  # the placement swap happened before the drain
             tenant.controller.resume_migration(path)
             resumed += 1
@@ -627,22 +616,11 @@ class AdvisorService:
         now; uncommitted — resume, which finishes the tail chunks,
         commits, installs, and WALs the swap, exactly once.
         """
-        journal_dir = tenant.config.journal_dir
-        if journal_dir is None or not os.path.isdir(journal_dir):
-            return 0, 0
-        from repro.faults.journal import MigrationJournal
-
         resumed = adopted = 0
         now = tenant.last_time if tenant.last_time is not None else 0.0
-        for name in sorted(os.listdir(journal_dir)):
-            match = re.match(r"migration-(\d+)\.jsonl$", name)
-            if not match:
-                continue
-            tenant.controller._journal_seq = max(
-                tenant.controller._journal_seq, int(match.group(1))
-            )
-            path = os.path.join(journal_dir, name)
-            if MigrationJournal.load(path).committed:
+        for path, journal in tenant.controller.journals():
+            name = os.path.basename(path)
+            if journal.committed:
                 if name in tenant._swapped_journals:
                     continue
                 tenant.controller.adopt_committed_swap(path, now=now)

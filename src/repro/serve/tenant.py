@@ -1,39 +1,33 @@
-"""Per-tenant serving state: controller, clock, and migration pacing.
+"""Per-tenant serving state: controller, clock, and accounting.
 
-Each tenant the service hosts is one layout problem plus one
-:class:`ServedController` — the ordinary online controller
-(monitor → drift detect → warm re-solve → migrate) with two served
-twists:
+Each tenant the service hosts is one layout problem plus one ordinary
+:class:`~repro.online.controller.OnlineController` (monitor → drift
+detect → warm re-solve → migrate), configured for serving:
 
 * re-solves run on the **shared solver pool** through the fair
   scheduler instead of in-process, via the ``solve_fn`` hook, so one
   tenant's drift storm cannot monopolize the service's CPU;
-* accepted migrations are **journaled at accept time** and paced by the
-  tenant's own trace clock.  A served migration is in flight from the
-  moment the decision lands until enough trace time has passed to pay
-  the copy bill; a drain (SIGTERM) that lands mid-flight leaves an
-  uncommitted journal on disk that the tenant's next incarnation
-  finishes via the controller's existing
+* the tenant's ``journal_dir`` makes accepted migrations **journaled at
+  accept time** and paced by the tenant's own trace clock.  A served
+  migration is in flight from the moment the decision lands until
+  enough trace time has passed to pay the copy bill; a drain (SIGTERM)
+  that lands mid-flight leaves an uncommitted journal on disk that the
+  tenant's next incarnation finishes via
   :meth:`~repro.online.controller.OnlineController.resume_migration`.
 
 Tenants advance on *their* time, not wall time: trace chunks carry
-simulated timestamps and the control loop (checks, migration pacing)
-runs against those, exactly like
-:meth:`~repro.online.controller.OnlineController.replay` — but
-incrementally, chunk by chunk, holding the clock between HTTP requests.
+simulated timestamps and
+:meth:`~repro.online.controller.OnlineController.advance` runs the
+control loop (checks, migration pacing) against those, chunk by chunk,
+holding the clock between HTTP requests.
 """
 
-import os
 import threading
 from dataclasses import asdict
 
-from repro.core.layout import Layout
-from repro.core.migration import plan_migration
 from repro.errors import ReproError
-from repro.faults.journal import MigrationJournal
 from repro.obs import Instrumentation
 from repro.online.controller import ControllerConfig, OnlineController
-from repro.serve.pool import rebuild_solve_result
 from repro.storage.request import CompletionRecord
 from repro.workload.spec import ObjectWorkload
 from repro.workload.trace_io import _FIELDS
@@ -88,171 +82,6 @@ def records_from_payload(entries):
     return records
 
 
-class ServedController(OnlineController):
-    """An online controller whose solves and migrations are served.
-
-    Args:
-        solve_fn: Blocking callable ``(problem, initial_matrix) ->
-            resolve_job dict`` that routes the warm re-solve through
-            the service's fair-scheduled pool.  ``None`` falls back to
-            the in-process solve (tests, standalone use).
-        Everything else goes to
-            :class:`~repro.online.controller.OnlineController`.
-
-    Served migration semantics (``ctx is None`` always): an accepted
-    plan immediately writes a chunk journal under
-    ``config.journal_dir``, the controller marks itself migrating, and
-    :meth:`pump_migration` — called by the tenant's feed loop as its
-    trace clock advances — records copied chunks proportionally to
-    elapsed trace time, committing and installing the layout when the
-    estimated migration time has fully passed.
-    """
-
-    def __init__(self, *args, solve_fn=None, **kwargs):
-        self._solve_fn = solve_fn
-        self._served = None    # {"started": t, "cost_s": s} while in flight
-        #: Called with the journal basename right after a migration's
-        #: placement swap installs — the tenant's WAL hook.  The swap's
-        #: own durable effect (the journal commit record) always
-        #: precedes this call; that ordering is the recovery contract.
-        self.on_swap = None
-        super().__init__(*args, **kwargs)
-
-    # -- solver routing -------------------------------------------------
-
-    def _run_solve(self, problem):
-        if self._solve_fn is None:
-            return super()._run_solve(problem)
-        initial = [[float(f) for f in row] for row in self.layout.matrix]
-        out = self._solve_fn(problem, initial)
-        return rebuild_solve_result(problem, out), out.get("rung", "")
-
-    # -- journaled, trace-paced migration -------------------------------
-
-    def _install(self, pending, now, bytes_moved, elapsed_s, virtual):
-        fresh = (virtual
-                 and pending.journal is None
-                 and self.config.journal_dir is not None
-                 and self._served is None
-                 and bytes_moved > 0)
-        if not fresh:
-            super()._install(pending, now, bytes_moved, elapsed_s, virtual)
-            return
-        # Journal at accept: the plan is durable before any trace time
-        # is spent "copying", so a drain or crash between accept and
-        # completion leaves a resumable journal, never a lost decision.
-        plan = plan_migration(self.layout, pending.layout, self.object_sizes)
-        os.makedirs(self.config.journal_dir, exist_ok=True)
-        self._journal_seq += 1
-        path = os.path.join(self.config.journal_dir,
-                            "migration-%04d.jsonl" % self._journal_seq)
-        pending.journal = MigrationJournal.create(
-            path, plan, self.config.migration_chunk,
-            meta=self._journal_meta(pending.layout, pending.fitted,
-                                    pending.predicted_util,
-                                    pending.accepted_at),
-        )
-        cost_s = max(0.0, float(now) - float(pending.accepted_at))
-        self._served = {"started": float(pending.accepted_at),
-                        "cost_s": cost_s}
-        self._pending = pending
-        self.migrating = True
-        self.log.emit(pending.accepted_at, "migration-journaled",
-                      journal=os.path.basename(path),
-                      plan_bytes=int(bytes_moved),
-                      cost_s=round(cost_s, 4))
-
-    def pump_migration(self, now):
-        """Advance the in-flight migration to trace time ``now``.
-
-        Chunks are recorded in the journal proportionally to elapsed
-        trace time over the estimated copy duration; once the estimate
-        has fully elapsed the journal is committed and the layout
-        installed.  Returns True when a migration completed.
-        """
-        if self._served is None:
-            return False
-        state = self._served
-        pending = self._pending
-        journal = pending.journal
-        if state["cost_s"] <= 0:
-            fraction = 1.0
-        else:
-            fraction = (float(now) - state["started"]) / state["cost_s"]
-        fraction = max(0.0, min(1.0, fraction))
-        target = journal.total_chunks if fraction >= 1.0 else int(
-            fraction * journal.total_chunks
-        )
-        for index in range(target):
-            journal.record_chunk(index)
-        if fraction < 1.0:
-            return False
-        journal.record_commit()
-        journal.close()
-        self._served = None
-        self._pending = None
-        self.migrating = False
-        super()._install(pending, now, bytes_moved=pending.plan_bytes,
-                         elapsed_s=state["cost_s"], virtual=True)
-        if self.on_swap is not None:
-            self.on_swap(os.path.basename(journal.path))
-        return True
-
-    def suspend_migration(self):
-        """Drain: flush and close the in-flight journal, uncommitted.
-
-        The chunks recorded so far stay durable; the next incarnation
-        of this tenant resumes from the journal and finishes the rest.
-        """
-        if self._served is None:
-            return None
-        journal = self._pending.journal
-        journal.close()
-        return journal.path
-
-    def resume_migration(self, journal_path):
-        journal = super().resume_migration(journal_path)
-        if not journal.committed:
-            # The base class already installed the layout virtually
-            # (ctx is None); finishing the journal records the tail
-            # chunks as copied and commits, so recovery is idempotent.
-            for index in journal.remaining():
-                journal.record_chunk(index)
-            journal.record_commit()
-            journal.close()
-            if self.on_swap is not None:
-                self.on_swap(os.path.basename(str(journal_path)))
-        return journal
-
-    def adopt_committed_swap(self, journal_path, now=0.0):
-        """Apply a committed journal's layout without re-copying.
-
-        Recovery calls this for a journal whose commit record landed but
-        whose ``swap`` line never reached the WAL (the crash hit the gap
-        between the two).  The copy already happened; only the in-memory
-        placement and drift baseline need to catch up to it.
-        """
-        journal = MigrationJournal.load(journal_path)
-        meta = journal.meta or {}
-        if not meta.get("layout"):
-            return journal
-        layout = self._aligned(Layout(
-            [meta["layout"][obj] for obj in meta["objects"]],
-            meta["objects"], meta["targets"],
-        ))
-        fitted = [ObjectWorkload(**spec) for spec in meta.get("fitted", [])]
-        if not fitted:
-            fitted = list(self.solved_workloads)
-        now = max(float(now), float(meta.get("accepted_at", 0.0)))
-        self.layout = layout
-        self.solved_workloads = fitted
-        self.detector.rebase(fitted,
-                             float(meta.get("predicted_util", 0.0)), now)
-        self.log.emit(now, "adopt-swap",
-                      journal=os.path.basename(str(journal_path)))
-        return journal
-
-
 class Tenant:
     """One hosted tenant: problem, controller, clock, and accounting.
 
@@ -263,7 +92,8 @@ class Tenant:
         config: The tenant's :class:`ControllerConfig` (its
             ``journal_dir`` should point at the tenant's state dir).
         weight: Fair-share weight in the solver scheduler.
-        solve_fn: Passed to :class:`ServedController`.
+        solve_fn: The controller's re-solve hook (see
+            :class:`~repro.online.controller.OnlineController`).
 
     All feed/advise bookkeeping is guarded by a lock: trace chunks for
     one tenant are applied strictly one at a time even when the client
@@ -285,7 +115,7 @@ class Tenant:
         self.config = config or ControllerConfig()
         sizes = {name: int(size) for name, size in
                  zip(problem.object_names, problem.sizes)}
-        self.controller = ServedController(
+        self.controller = OnlineController(
             targets=problem.targets,
             object_sizes=sizes,
             initial_layout=initial_layout,
@@ -294,9 +124,9 @@ class Tenant:
             config=self.config,
             obs=self.obs,
             solve_fn=solve_fn,
+            on_swap=self.record_swap,
         )
         self.lock = threading.Lock()
-        self._next_check = None
         self.records_fed = 0
         self.chunks_fed = 0
         self.advises = 0
@@ -316,13 +146,10 @@ class Tenant:
     # ------------------------------------------------------------------
 
     def feed(self, records, rtrace=None):
-        """Apply one trace chunk: observe records, run due checks, pace
-        any in-flight migration.  Blocking; call from a worker thread.
-
-        Mirrors :meth:`OnlineController.replay`, but incrementally —
-        the check clock persists between chunks, so a trace streamed in
-        many small chunks makes the same decisions as one replayed in a
-        single call.
+        """Apply one trace chunk through the controller's
+        :meth:`~repro.online.controller.OnlineController.advance`:
+        observe records, run due checks, pace any in-flight migration.
+        Blocking; call from a worker thread.
         """
         with self.lock:
             span = (rtrace.start("tenant.feed", tenant=self.tenant_id,
@@ -339,16 +166,7 @@ class Tenant:
                             "trace chunk goes back in time (%.3f < %.3f)"
                             % (records[0].finish_time, self.last_time)
                         )
-                    if self._next_check is None:
-                        self._next_check = (records[0].finish_time
-                                            + self.config.check_interval_s)
-                    for record in records:
-                        while record.finish_time >= self._next_check:
-                            controller.pump_migration(self._next_check)
-                            controller.check(self._next_check)
-                            self._next_check += self.config.check_interval_s
-                        controller.monitor.observe(record)
-                    controller.pump_migration(records[-1].finish_time)
+                    controller.advance(records)
                     self.last_time = records[-1].finish_time
                     self.records_fed += len(records)
                     self.chunks_fed += 1
@@ -359,7 +177,7 @@ class Tenant:
                         # client sees the response.
                         self.wal.append(
                             "feed", clock_s=self.last_time,
-                            next_check=self._next_check,
+                            next_check=controller._next_check,
                             records_fed=self.records_fed,
                             chunks_fed=self.chunks_fed,
                             resolves=controller.resolves,
@@ -414,7 +232,6 @@ class Tenant:
         self.wal = wal
         self.snapshot_every = int(snapshot_every)
         self._snapshot_fn = snapshot_fn
-        self.controller.on_swap = self.record_swap
         return self
 
     def record_swap(self, journal_name):
@@ -448,7 +265,7 @@ class Tenant:
             "layout": {name: [float(f) for f in row] for name, row in
                        controller.layout.fractions_by_name().items()},
             "clock_s": self.last_time,
-            "next_check": self._next_check,
+            "next_check": controller._next_check,
             "records_fed": self.records_fed,
             "chunks_fed": self.chunks_fed,
             "advises": self.advises,
@@ -466,7 +283,7 @@ class Tenant:
         freshly-constructed tenant; call before it serves traffic."""
         controller = self.controller
         self.last_time = state.get("clock_s")
-        self._next_check = state.get("next_check")
+        controller._next_check = state.get("next_check")
         self.records_fed = int(state.get("records_fed") or 0)
         self.chunks_fed = int(state.get("chunks_fed") or 0)
         self.advises = int(state.get("advises") or 0)

@@ -414,6 +414,81 @@ def test_resume_of_committed_journal_is_a_noop(tmp_path):
     assert not fresh.log.of_kind("resume")
 
 
+def test_ctxless_resume_commits_so_a_second_resume_is_a_noop(tmp_path):
+    """Recovery without a simulator finishes the copy and commits the
+    journal; resuming the same journal again must change nothing."""
+    engine, ctx, controller = _live(
+        _layout([[1.0, 0.0], [1.0, 0.0]]),
+        solved=[ObjectWorkload("a", read_rate=50), ObjectWorkload("b")],
+        config=_config(journal_dir=str(tmp_path),
+                       migration_chunk=units.mib(1),
+                       migration_pace_s=0.05),
+    )
+    _force_accept(controller)
+    accepted_layout = controller._pending.layout
+    engine.run(until=engine.now + 0.3)  # die mid-copy
+    path = glob.glob(os.path.join(str(tmp_path), "migration-*.jsonl"))[0]
+    assert not MigrationJournal.load(path).committed
+
+    fresh = _controller(
+        initial=_layout([[1.0, 0.0], [1.0, 0.0]]),
+        solved=[ObjectWorkload("a", read_rate=50), ObjectWorkload("b")],
+    )
+    assert fresh.resume_migration(path).committed
+    assert MigrationJournal.load(path).committed
+    assert MigrationJournal.load(path).remaining() == []
+    assert np.allclose(fresh.layout.matrix, accepted_layout.matrix)
+
+    fresh.resume_migration(path)
+    assert len(fresh.log.of_kind("resume")) == 1
+    assert len(fresh.log.of_kind("migrated")) == 1
+    assert not fresh.migrating
+
+
+def test_emergency_during_paced_migration_installs_the_evacuation(tmp_path):
+    """Without a simulator but with a journal dir, migrations are paced
+    by trace time.  A fail-stop mid-pace cancels the paced copy; the
+    evacuation replaces it, installs, and the clock keeps running."""
+    controller = _controller(
+        initial=_layout([[1.0, 0.0], [1.0, 0.0]]),
+        solved=[ObjectWorkload("a", read_rate=50), ObjectWorkload("b")],
+        config=_config(journal_dir=str(tmp_path),
+                       transfer_bps=8 * (1 << 20)),
+    )
+    trace = sorted(
+        _records("a", 50.0, 0.0, 120.0) + _records("b", 150.0, 20.0, 120.0),
+        key=lambda r: r.finish_time,
+    )
+    chunks = [[r for r in trace if t <= r.finish_time < t + 1.0]
+              for t in range(120)]
+    clock = 0
+    while not controller.migrating:
+        controller.advance(chunks[clock])
+        clock += 1
+        assert clock < 100, "drift never triggered a migration"
+    assert controller.log.of_kind("migration-journaled")
+    assert controller.layout.fraction("b", "t1") == 0.0  # still pacing
+
+    controller.attach_faults(_injector(
+        FaultEvent(time=clock + 0.5, kind="fail-stop", target="t0")))
+    for chunk in chunks[clock:]:
+        controller.advance(chunk)
+
+    log = controller.log
+    assert log.of_kind("migration-cancelled")
+    evacuate = log.of_kind("evacuate")[0]
+    assert any(e["time"] > evacuate["time"]
+               for e in log.of_kind("migrated"))
+    assert not controller.migrating
+    assert controller.layout.fraction("a", "t0") <= 1e-9
+    assert controller.layout.fraction("b", "t0") <= 1e-9
+    journals = sorted(glob.glob(os.path.join(str(tmp_path),
+                                             "migration-*.jsonl")))
+    assert len(journals) == 2
+    assert not MigrationJournal.load(journals[0]).committed  # cancelled
+    assert MigrationJournal.load(journals[1]).committed
+
+
 # ----------------------------------------------------------------------
 # Watchdog wiring
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Tests for the YAML loader and the safe-subset fallback parser."""
+"""Tests for the scenario YAML loader."""
 
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios.yamlio import _MiniYaml, load_yaml_file, parse_yaml
+from repro.scenarios.yamlio import load_yaml_file, parse_yaml
 
 SAMPLE = """
 name: sample
@@ -23,8 +23,8 @@ compact:
 """
 
 
-def mini(text):
-    return _MiniYaml(text, "<test>").parse()
+def parse(text):
+    return parse_yaml(text, "f.yaml")
 
 
 def test_parse_yaml_basic_types():
@@ -38,43 +38,48 @@ def test_parse_yaml_basic_types():
     assert data["compact"][1] == {"name": "write", "weight": 40}
 
 
-def test_mini_parser_matches_pyyaml_on_sample():
-    yaml = pytest.importorskip("yaml")
-    assert mini(SAMPLE) == yaml.safe_load(SAMPLE)
-
-
 def test_mini_parser_multiline_flow():
     text = "tasks:\n  - {name: scan, weight: 90,\n     run_count: 64}\n"
-    assert mini(text) == {
+    assert parse(text) == {
         "tasks": [{"name": "scan", "weight": 90, "run_count": 64}]
     }
 
 
 def test_mini_parser_comments_and_blanks():
     text = "# header\na: 1  # trailing\n\nb: '#not a comment'\n"
-    assert mini(text) == {"a": 1, "b": "#not a comment"}
+    assert parse(text) == {"a": 1, "b": "#not a comment"}
 
 
 def test_mini_parser_rejects_tabs():
-    with pytest.raises(ScenarioError, match="tabs"):
-        mini("a:\n\tb: 1\n")
+    with pytest.raises(ScenarioError,
+                       match=r"^f\.yaml:2: .*'\\t' that cannot start"):
+        parse("a:\n\tb: 1\n")
 
 
 def test_mini_parser_rejects_duplicate_keys():
-    with pytest.raises(ScenarioError, match="duplicate key"):
-        mini("a: 1\na: 2\n")
+    with pytest.raises(ScenarioError,
+                       match=r"^f\.yaml:2: .*duplicate key 'a'"):
+        parse("a: 1\na: 2\n")
+    # A scenario with two schedule blocks used to compile only the last.
+    with pytest.raises(ScenarioError,
+                       match=r"^f\.yaml:3: .*duplicate key 'schedule'"):
+        parse("top:\n  schedule: 1\n  schedule: 2\n")
+    with pytest.raises(ScenarioError, match="duplicate key 'k'"):
+        parse("a: {k: 1, k: 2}\n")
+    # The same key in sibling mappings is not a duplicate.
+    assert parse("- {k: 1}\n- {k: 2}\n") == [{"k": 1}, {"k": 2}]
 
 
 def test_mini_parser_rejects_unterminated_flow():
-    with pytest.raises(ScenarioError, match="flow"):
-        mini("a: [1, 2\n")
+    with pytest.raises(ScenarioError, match=r"^f\.yaml:2: .*expected ','"):
+        parse("a: [1, 2\n")
 
 
 def test_error_carries_file_and_line(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("a: 1\n\tb: 2\n")
-    with pytest.raises(ScenarioError, match="bad.yaml"):
-        _MiniYaml(path.read_text(), str(path)).parse()
+    with pytest.raises(ScenarioError, match=r"bad\.yaml:2: "):
+        load_yaml_file(str(path))
 
 
 def test_load_yaml_file_missing(tmp_path):

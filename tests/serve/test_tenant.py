@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import load_problem
 from repro.errors import ReproError
@@ -52,26 +53,35 @@ def test_records_from_payload_requires_obj_and_finish_time():
 # Incremental feeding
 # ----------------------------------------------------------------------
 
-def test_chunked_feed_matches_one_shot_feed():
-    """Streaming a trace in many small chunks makes the same decisions
-    as feeding it in one call — the check clock persists."""
-    entries = hot_chunk(0.0, 16.0)
+_HOT = hot_chunk(0.0, 16.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cuts=st.lists(st.integers(min_value=1, max_value=len(_HOT) - 1),
+                     max_size=8))
+def test_chunked_feed_matches_one_shot_feed(cuts):
+    """Streaming a trace in chunks split anywhere makes the same
+    decisions as feeding it in one call — the check clock persists —
+    and as replaying it, which adds only its one final check."""
+    bounds = [0] + sorted(set(cuts)) + [len(_HOT)]
     whole, chunked = _make_tenant(), _make_tenant()
-    whole.feed(records_from_payload(entries))
-    for start in range(0, 16, 4):
-        part = [e for e in entries
-                if start <= e["finish_time"] < start + 4]
-        chunked.feed(records_from_payload(part))
+    whole.feed(records_from_payload(_HOT))
+    for start, end in zip(bounds, bounds[1:]):
+        chunked.feed(records_from_payload(_HOT[start:end]))
+    replayed = _make_tenant().controller
+    replayed.replay(records_from_payload(_HOT))
 
     assert chunked.records_fed == whole.records_fed
-    assert chunked.chunks_fed == 4 and whole.chunks_fed == 1
+    assert chunked.chunks_fed == len(bounds) - 1 and whole.chunks_fed == 1
     assert chunked.controller.resolves == whole.controller.resolves
-    assert [e["kind"] for e in chunked.controller.log] \
-        == [e["kind"] for e in whole.controller.log]
+    kinds = [e["kind"] for e in whole.controller.log]
+    assert [e["kind"] for e in chunked.controller.log] == kinds
+    assert [e["kind"] for e in replayed.log] == kinds + ["check"]
     assert np.allclose(chunked.controller.layout.matrix,
                        whole.controller.layout.matrix)
+    assert np.allclose(replayed.layout.matrix, whole.controller.layout.matrix)
     # The synthetic drift actually drove a decision; the test is not
-    # vacuously comparing two idle controllers.
+    # vacuously comparing idle controllers.
     assert whole.controller.resolves >= 1
 
 
