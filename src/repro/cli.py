@@ -76,6 +76,7 @@ import sys
 from repro.core.advisor import LayoutAdvisor
 from repro.core.problem import LayoutProblem, TargetSpec
 from repro.errors import ReproError
+from repro.jsonl import read_jsonl
 from repro.models.analytic import (
     AnalyticDiskCostModel,
     analytic_disk_target_model,
@@ -327,18 +328,11 @@ def _looks_like_event_log(path):
     instrumentation traces start with a ``{"type": "meta", ...}`` line.
     """
     try:
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                return (isinstance(record, dict)
-                        and "kind" in record and "seq" in record
-                        and "type" not in record)
-    except (OSError, json.JSONDecodeError):
-        pass
-    return False
+        records = read_jsonl(path)[0]
+    except OSError:
+        return False
+    first = records[0] if records else {}
+    return "kind" in first and "seq" in first and "type" not in first
 
 
 def report(args):

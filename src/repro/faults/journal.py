@@ -3,7 +3,8 @@
 A migration that dies half-way (process crash, power loss) must be
 resumable without re-copying everything and without losing track of
 which chunks already landed.  The journal is an append-only JSONL file
-with three record kinds:
+(written through :class:`repro.jsonl.Appender`) with four record
+kinds:
 
 * ``begin`` — written once, before any data moves: the migration's
   identity (moves, chunk size, schema version) plus an opaque ``meta``
@@ -12,7 +13,9 @@ with three record kinds:
 * ``chunk`` — appended *after* a chunk's destination write completes,
   so a recorded chunk is durable by construction;
 * ``commit`` — appended when the placement map is swapped; a journal
-  with a commit record needs no recovery at all.
+  with a commit record needs no recovery at all;
+* ``cancel`` — appended when an emergency supersedes the migration;
+  a cancelled journal must never be resumed.
 
 Recovery replays the file: chunks recorded are done, everything else is
 (re)copied.  Re-copying a chunk whose record was lost is harmless —
@@ -23,11 +26,9 @@ write a crash can leave behind); any other malformed line raises, since
 it means the journal itself is corrupt.
 """
 
-import json
-import os
-
 from repro.core.migration import MigrationPlan, Move
 from repro.errors import FaultError
+from repro.jsonl import Appender, read_jsonl
 
 VERSION = 1
 
@@ -49,6 +50,11 @@ def _chunk_list(moves, chunk):
     return chunks
 
 
+def _move_records(plan):
+    return [{"obj": m.obj, "source": m.source, "destination": m.destination,
+             "bytes": m.bytes} for m in plan.moves]
+
+
 class MigrationJournal:
     """Append-only chunk journal for one migration.
 
@@ -57,13 +63,14 @@ class MigrationJournal:
     """
 
     def __init__(self, path, moves, chunk, meta, done, committed,
-                 malformed=0):
+                 malformed=0, cancelled=False):
         self.path = path
         self.moves = moves
         self.chunk = int(chunk)
         self.meta = meta
         self.done = set(done)
         self.committed = committed
+        self.cancelled = cancelled
         self.malformed = malformed
         self.chunks = _chunk_list(moves, chunk)
         for index in self.done:
@@ -72,7 +79,7 @@ class MigrationJournal:
                     "journal %s records chunk %d of %d"
                     % (path, index, len(self.chunks))
                 )
-        self._handle = None
+        self._log = Appender(path)
 
     # ------------------------------------------------------------------
     # Construction
@@ -82,15 +89,11 @@ class MigrationJournal:
     def create(cls, path, plan, chunk, meta=None):
         """Start a journal for ``plan`` (a MigrationPlan), overwriting
         any stale journal at ``path``."""
-        moves = [
-            {"obj": m.obj, "source": m.source, "destination": m.destination,
-             "bytes": m.bytes}
-            for m in plan.moves
-        ]
+        moves = _move_records(plan)
         journal = cls(path, moves, chunk, meta or {}, done=(),
                       committed=False)
-        journal._handle = open(path, "w")
-        journal._append({
+        open(path, "w").close()
+        journal._log.append({
             "kind": "begin", "version": VERSION, "chunk": int(chunk),
             "moves": moves, "meta": journal.meta,
         })
@@ -102,26 +105,21 @@ class MigrationJournal:
 
         Tolerates a truncated *final* line; any other malformed line —
         or a missing/garbled begin record — raises :class:`FaultError`.
+        A file the crash left empty (or holding only a torn begin
+        record) loads as a cancelled journal with no moves.
         """
-        with open(path) as handle:
-            lines = handle.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        records = []
-        malformed = 0
-        for position, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    malformed += 1  # torn final write from the crash
-                    continue
-                raise FaultError(
-                    "journal %s is corrupt at line %d" % (path, position + 1)
-                )
-        if not records or records[0].get("kind") != "begin":
+        records, bad_lines, torn = read_jsonl(path)
+        if bad_lines:
+            raise FaultError(
+                "journal %s is corrupt at line %d" % (path, bad_lines[0])
+            )
+        malformed = int(torn is not None)
+        if not records:
+            # The crash tore the begin record itself: no data moved yet,
+            # so there is nothing to resume.
+            return cls(path, [], 1, {}, done=(), committed=False,
+                       cancelled=True, malformed=malformed)
+        if records[0].get("kind") != "begin":
             raise FaultError("journal %s has no begin record" % path)
         begin = records[0]
         if begin.get("version") != VERSION:
@@ -130,19 +128,22 @@ class MigrationJournal:
                 % (path, begin.get("version"), VERSION)
             )
         done = set()
-        committed = False
+        committed = cancelled = False
         for record in records[1:]:
             kind = record.get("kind")
             if kind == "chunk":
                 done.add(int(record["index"]))
             elif kind == "commit":
                 committed = True
+            elif kind == "cancel":
+                cancelled = True
             else:
                 raise FaultError(
                     "journal %s has unknown record kind %r" % (path, kind)
                 )
         return cls(path, begin["moves"], begin["chunk"], begin.get("meta", {}),
-                   done=done, committed=committed, malformed=malformed)
+                   done=done, committed=committed, cancelled=cancelled,
+                   malformed=malformed)
 
     # ------------------------------------------------------------------
     # State
@@ -177,23 +178,11 @@ class MigrationJournal:
 
     def matches(self, plan, chunk):
         """True when this journal describes exactly this migration."""
-        moves = [
-            {"obj": m.obj, "source": m.source, "destination": m.destination,
-             "bytes": m.bytes}
-            for m in plan.moves
-        ]
-        return moves == self.moves and int(chunk) == self.chunk
+        return _move_records(plan) == self.moves and int(chunk) == self.chunk
 
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
-
-    def _append(self, record):
-        if self._handle is None:
-            self._handle = open(self.path, "a")
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
 
     def record_chunk(self, index):
         """Mark chunk ``index`` durable (call after its write lands)."""
@@ -205,15 +194,21 @@ class MigrationJournal:
         if index in self.done:
             return
         self.done.add(index)
-        self._append({"kind": "chunk", "index": int(index)})
+        self._log.append({"kind": "chunk", "index": int(index)})
 
     def record_commit(self):
         """Mark the migration committed (placement map swapped)."""
         if not self.committed:
             self.committed = True
-            self._append({"kind": "commit"})
+            self._log.append({"kind": "commit"})
+
+    def record_cancel(self):
+        """Mark the migration superseded (an emergency cancelled it) and
+        close the journal; recovery must not resume it."""
+        if not self.cancelled:
+            self.cancelled = True
+            self._log.append({"kind": "cancel"})
+        self.close()
 
     def close(self):
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()

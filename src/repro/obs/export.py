@@ -15,6 +15,7 @@ local extension with no Prometheus equivalent and are skipped there.
 import json
 
 from repro.errors import ReproError
+from repro.jsonl import read_records, write_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, json_default as _json_default
 
@@ -48,11 +49,8 @@ def trace_records(instrumentation, meta=None):
 
 def write_trace(path, instrumentation, meta=None):
     """Write spans + metrics as one JSONL trace file."""
-    with open(path, "w") as handle:
-        for record in trace_records(instrumentation, meta=meta):
-            handle.write(json.dumps(record, default=_json_default))
-            handle.write("\n")
-    return path
+    return write_jsonl(path, trace_records(instrumentation, meta=meta),
+                       default=_json_default)
 
 
 def read_trace(path):
@@ -62,19 +60,7 @@ def read_trace(path):
     object — the file is not (or no longer) an instrumentation trace —
     so CLI callers report one clean error instead of a traceback.
     """
-    records = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ReproError(
-                    "%s:%d: not an instrumentation trace record"
-                    % (path, number)
-                )
-            records.append(record)
+    records = read_records(path, "an instrumentation trace record")
     meta = {}
     for record in records:
         if record.get("type") == "meta":
@@ -116,21 +102,7 @@ def read_request_trace(path):
     else:
         meta = {}
         records = []
-        for number, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ReproError(
-                    "%s:%d: not a request-trace record (%s)"
-                    % (path, number, error)
-                ) from None
-            if not isinstance(record, dict):
-                raise ReproError(
-                    "%s:%d: not a request-trace record" % (path, number)
-                )
+        for record in read_records(path, "a request-trace record"):
             if record.get("type") == "request" and not meta:
                 meta = record
             else:

@@ -14,7 +14,7 @@ convergence trajectories — which has no Prometheus equivalent and is
 exported only to JSONL.
 """
 
-import json
+from repro.jsonl import write_jsonl
 
 #: Default histogram buckets, in seconds — spans request service times
 #: from SSD hits to overloaded-disk queueing.
@@ -220,10 +220,7 @@ class MetricsRegistry:
     def to_jsonl(self, path):
         from repro.obs.trace import json_default
 
-        with open(path, "w") as handle:
-            for record in self.to_records():
-                handle.write(json.dumps(record, default=json_default))
-                handle.write("\n")
+        write_jsonl(path, self.to_records(), default=json_default)
 
     @classmethod
     def from_records(cls, records):

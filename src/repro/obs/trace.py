@@ -15,9 +15,10 @@ building the keyword arguments altogether — the contract
 """
 
 import itertools
-import json
 import time
 import uuid
+
+from repro.jsonl import write_jsonl
 
 
 def json_default(value):
@@ -315,10 +316,7 @@ class Tracer:
 
     def to_jsonl(self, path):
         """Write every span as one JSON object per line."""
-        with open(path, "w") as handle:
-            for record in self.to_records():
-                handle.write(json.dumps(record, default=json_default))
-                handle.write("\n")
+        write_jsonl(path, self.to_records(), default=json_default)
 
     @classmethod
     def from_records(cls, records):

@@ -437,14 +437,11 @@ class OnlineController:
         )
         problem = self._problem(fitted, pinning=pinning)
         result, rung = self._run_solve(problem)
-        candidate = self._aligned(result.layout)
-        if self.config.regular:
-            candidate = regularize(problem, candidate, obs=self.obs)
+        candidate, plan = self._plan_candidate(problem, result.layout)
         latency = time.perf_counter() - started
 
         new_util = self._predicted_util(fitted, candidate)
         gain = predicted - new_util
-        plan = plan_migration(self.layout, candidate, self.object_sizes)
         cost_s = migration_cost_seconds(plan,
                                         transfer_bps=self.config.transfer_bps)
 
@@ -490,18 +487,7 @@ class OnlineController:
                               for name, row in
                               candidate.fractions_by_name().items()},
                       **decision)
-        pending = _PendingMigration(
-            layout=candidate, fitted=fitted, predicted_util=new_util,
-            accepted_at=now, plan_bytes=plan.total_bytes,
-            # The episode span is detached: it outlives this call and
-            # must not adopt the controller's later spans as children.
-            span=self.obs.tracer.start(
-                "online.migration", detached=True,
-                accepted_at=round(float(now), 4),
-                plan_bytes=plan.total_bytes,
-            ),
-        )
-        self._start_migration(pending, plan, now)
+        self._accept_migration(candidate, plan, fitted, new_util, now)
 
     def _run_solve(self, problem):
         """Run one drift re-solve; returns ``(SolveResult, rung)``.
@@ -532,6 +518,34 @@ class OnlineController:
     # Migration: start, pace, commit
     # ------------------------------------------------------------------
 
+    def _plan_candidate(self, problem, solved):
+        """A solved layout in the controller's order, regularized when
+        configured, and the migration plan that reaches it."""
+        candidate = self._aligned(solved)
+        if self.config.regular:
+            candidate = self._aligned(
+                regularize(problem, candidate, obs=self.obs)
+            )
+        return candidate, plan_migration(self.layout, candidate,
+                                         self.object_sizes)
+
+    def _accept_migration(self, candidate, plan, fitted, new_util, now,
+                          **span_tags):
+        """Start migrating to an accepted (or evacuation) layout under
+        an ``online.migration`` episode span."""
+        pending = _PendingMigration(
+            layout=candidate, fitted=fitted, predicted_util=new_util,
+            accepted_at=now, plan_bytes=plan.total_bytes,
+            # The episode span is detached: it outlives this call and
+            # must not adopt the controller's later spans as children.
+            span=self.obs.tracer.start(
+                "online.migration", detached=True, **span_tags,
+                accepted_at=round(float(now), 4),
+                plan_bytes=plan.total_bytes,
+            ),
+        )
+        self._start_migration(pending, plan, now)
+
     def _start_migration(self, pending, plan, now, resumed=None):
         """Bring an accepted (or resumed) layout online.
 
@@ -548,7 +562,7 @@ class OnlineController:
           estimated migration time.
 
         ``resumed`` is a loaded journal being finished after a crash;
-        without a ``ctx`` its copy counts as done at once.
+        without a ``ctx`` its copy counts as done at once, at ``now``.
         """
         cost_s = migration_cost_seconds(
             plan, transfer_bps=self.config.transfer_bps
@@ -582,7 +596,8 @@ class OnlineController:
             if journal is not None:
                 for index in journal.remaining():
                     journal.record_chunk(index)
-            self._install(pending, now + cost_s,
+            done_at = now if resumed is not None else now + cost_s
+            self._install(pending, done_at,
                           bytes_moved=plan.total_bytes, elapsed_s=cost_s,
                           virtual=True)
 
@@ -801,7 +816,7 @@ class OnlineController:
             if stale.migrator is not None:
                 stale.migrator.cancel()
             if stale.journal is not None:
-                stale.journal.close()
+                stale.journal.record_cancel()
             if stale.span is not None:
                 self.obs.tracer.finish(stale.span, cancelled=True)
             self.log.emit(now, "migration-cancelled", reason=reason)
@@ -849,13 +864,9 @@ class OnlineController:
             warm_start=initial is not None,
             chaos_hook=self._solver_chaos, obs=self.obs,
         )
-        candidate = self._aligned(watchdog.result.layout)
-        if self.config.regular:
-            candidate = self._aligned(
-                regularize(problem, watchdog.result.layout, obs=self.obs)
-            )
+        candidate, plan = self._plan_candidate(problem,
+                                               watchdog.result.layout)
         new_util = float(problem.evaluator().objective(candidate.matrix))
-        plan = plan_migration(self.layout, candidate, self.object_sizes)
         if dead:
             # Evacuation first: chunks leaving dead targets copy before
             # load-balancing shuffles between healthy ones.
@@ -877,28 +888,22 @@ class OnlineController:
                       layout={name: [round(f, 4) for f in row]
                               for name, row in
                               candidate.fractions_by_name().items()})
-
-        pending = _PendingMigration(
-            layout=candidate, fitted=fitted, predicted_util=new_util,
-            accepted_at=now, plan_bytes=plan.total_bytes,
-            span=self.obs.tracer.start(
-                "online.migration", detached=True, emergency=True,
-                accepted_at=round(float(now), 4),
-                plan_bytes=plan.total_bytes,
-            ),
-        )
-        self._start_migration(pending, plan, now)
+        self._accept_migration(candidate, plan, fitted, new_util, now,
+                               emergency=True)
 
     # ------------------------------------------------------------------
     # Crash recovery
     # ------------------------------------------------------------------
 
     def journals(self):
-        """Every migration journal in ``config.journal_dir``, in order.
+        """Every live migration journal in ``config.journal_dir``, in
+        order.
 
-        Returns ``[(path, MigrationJournal), ...]`` and advances the
-        journal sequence past each file, so journals this controller
-        creates never collide with a predecessor's.
+        Returns ``[(path, MigrationJournal), ...]``, leaving out
+        cancelled journals (an emergency superseded them; resuming one
+        would undo the evacuation), and advances the journal sequence
+        past each file, so journals this controller creates never
+        collide with a predecessor's.
         """
         directory = self.config.journal_dir
         if directory is None or not os.path.isdir(directory):
@@ -910,7 +915,9 @@ class OnlineController:
                 continue
             self._journal_seq = max(self._journal_seq, int(match.group(1)))
             path = os.path.join(directory, name)
-            found.append((path, MigrationJournal.load(path)))
+            journal = MigrationJournal.load(path)
+            if not journal.cancelled:
+                found.append((path, journal))
         return found
 
     def _journal_state(self, journal):
@@ -923,7 +930,7 @@ class OnlineController:
         fitted = [ObjectWorkload(**spec) for spec in meta.get("fitted", [])]
         return layout, fitted or list(self.solved_workloads)
 
-    def resume_migration(self, journal_path):
+    def resume_migration(self, journal_path, now=None):
         """Finish a migration whose process died mid-copy.
 
         Rebuilds the accepted layout, the fitted workloads, and the
@@ -934,14 +941,15 @@ class OnlineController:
         journal is committed at once.  A journal that already holds its
         commit record needs nothing (the placement swap happened before
         the crash), so resuming the same journal twice is a no-op.
-        Returns the loaded journal.
+        ``now`` is the caller's clock (a tenant's trace time) when the
+        controller has no live context.  Returns the loaded journal.
         """
         journal = MigrationJournal.load(journal_path)
         if journal.committed:
             return journal
         layout, fitted = self._journal_state(journal)
         plan = journal.plan()
-        now = self._now()
+        now = self._now() if now is None else float(now)
         self.log.emit(now, "resume",
                       journal=os.path.basename(str(journal_path)),
                       chunks_done=len(journal.done),
@@ -969,7 +977,7 @@ class OnlineController:
         pending.journal.close()
         return pending.journal.path
 
-    def adopt_committed_swap(self, journal_path, now=0.0):
+    def adopt_committed_swap(self, journal_path, now=None):
         """Apply a committed journal's layout without re-copying.
 
         Recovery calls this for a journal whose commit record landed but
@@ -981,7 +989,8 @@ class OnlineController:
         if not (journal.meta or {}).get("layout"):
             return journal
         self.layout, self.solved_workloads = self._journal_state(journal)
-        now = max(float(now), float(journal.meta.get("accepted_at", 0.0)))
+        now = max(self._now() if now is None else float(now),
+                  float(journal.meta.get("accepted_at", 0.0)))
         self.detector.rebase(self.solved_workloads,
                              float(journal.meta.get("predicted_util", 0.0)),
                              now)

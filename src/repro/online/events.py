@@ -21,10 +21,10 @@ events of one control-loop iteration share a timestamp, and only the
 sequence number preserves their total order across a JSONL round-trip.
 """
 
-import json
 import warnings
 from collections import Counter
 
+from repro.jsonl import read_jsonl, write_jsonl
 from repro.obs import ensure_obs
 
 
@@ -80,10 +80,7 @@ class EventLog:
 
     def to_jsonl(self, path):
         """Write every event as one JSON object per line."""
-        with open(path, "w") as handle:
-            for event in self.events:
-                handle.write(json.dumps(event))
-                handle.write("\n")
+        write_jsonl(path, self.events)
 
     @classmethod
     def from_jsonl(cls, path):
@@ -102,25 +99,15 @@ class EventLog:
         unreadable.
         """
         log = cls()
-        skipped = 0
-        with open(path) as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    event = None
-                if not isinstance(event, dict):
-                    skipped += 1
-                    warnings.warn(
-                        "%s:%d: skipping malformed event line" % (path, number),
-                        RuntimeWarning, stacklevel=2,
-                    )
-                    continue
-                log.events.append(event)
-        log.skipped = skipped
+        log.events, bad_lines, torn = read_jsonl(path)
+        if torn:
+            bad_lines.append(torn)
+        for number in bad_lines:
+            warnings.warn(
+                "%s:%d: skipping malformed event line" % (path, number),
+                RuntimeWarning, stacklevel=2,
+            )
+        log.skipped = len(bad_lines)
         for index, event in enumerate(log.events):
             event.setdefault("seq", index)
         log.events.sort(key=lambda e: e["seq"])

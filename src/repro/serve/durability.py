@@ -10,13 +10,15 @@ layer crash-recoverable with the classic database recipe:
   records every durable state transition as one fsynced JSON line —
   tenant create (with the full problem payload), config changes,
   applied trace-chunk offsets, placement swaps, idempotency records,
-  and delete.  Parsing tolerates a torn *final* line (the one partial
-  write a crash can leave behind), exactly like
-  :mod:`repro.faults.journal`; any earlier malformed line is skipped
-  and counted, never fatal — one bad line must not strand a tenant.
+  and delete, through :class:`repro.jsonl.Appender`.  Parsing follows
+  :func:`repro.jsonl.read_jsonl`'s torn-tail rule: a torn *final*
+  line (the one partial write a crash can leave behind) is dropped;
+  any earlier malformed line is skipped and counted, never fatal —
+  one bad line must not strand a tenant.
 * **periodic compacting snapshots**
-  (``<state_dir>/<tenant>/snapshot-<n>.json``, written atomically via
-  rename) fold the WAL into one self-contained state document — the
+  (``<state_dir>/<tenant>/snapshot-<n>.json``, written by
+  :func:`repro.jsonl.write_atomic`) fold the WAL into one
+  self-contained state document — the
   ``Tenant.status()``-shaped payload plus layout rows, the
   monitor's decayed-window digest, the drift baseline, and the SLO
   window's high-water marks.  After a snapshot lands, the WAL restarts
@@ -42,6 +44,7 @@ import os
 import re
 
 from repro.errors import ReproError
+from repro.jsonl import Appender, read_jsonl, write_atomic
 
 #: Schema version stamped on every WAL record and snapshot.
 VERSION = 1
@@ -50,7 +53,6 @@ VERSION = 1
 KINDS = ("create", "config", "feed", "swap", "idem", "delete")
 
 _SNAPSHOT = re.compile(r"^snapshot-(\d+)\.json$")
-
 
 class DurabilityError(ReproError):
     """A WAL or snapshot is unusable (not merely torn)."""
@@ -75,7 +77,7 @@ class TenantWAL:
         self.directory = str(directory)
         self.path = os.path.join(self.directory, "wal.jsonl")
         self.seq = int(start_seq)
-        self._handle = None
+        self._log = Appender(self.path)
 
     @classmethod
     def resume(cls, directory):
@@ -93,12 +95,6 @@ class TenantWAL:
             floor = max(floor, records[-1]["seq"])
         return cls(directory, start_seq=floor)
 
-    def _ensure(self):
-        if self._handle is None:
-            os.makedirs(self.directory, exist_ok=True)
-            self._handle = open(self.path, "a")
-        return self._handle
-
     def append(self, kind, **payload):
         """Durably append one record; returns its sequence number."""
         if kind not in KINDS:
@@ -106,10 +102,7 @@ class TenantWAL:
         self.seq += 1
         record = {"seq": self.seq, "kind": kind, "v": VERSION}
         record.update(payload)
-        handle = self._ensure()
-        handle.write(json.dumps(record) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+        self._log.append(record)
         return self.seq
 
     def compact(self, upto_seq):
@@ -120,34 +113,11 @@ class TenantWAL:
         after the last append).  The sequence counter survives.
         """
         tail = [r for r in read_wal(self.path)[0] if r["seq"] > upto_seq]
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as handle:
-            for record in tail:
-                handle.write(json.dumps(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
         self.close()
-        os.replace(tmp, self.path)
-        # Re-fsync the directory so the rename itself is durable.
-        _fsync_dir(self.directory)
+        write_atomic(self.path, tail)
 
     def close(self):
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-def _fsync_dir(directory):
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+        self._log.close()
 
 
 def read_wal(path):
@@ -160,25 +130,10 @@ def read_wal(path):
     """
     if not os.path.exists(path):
         return [], 0
-    with open(path) as handle:
-        lines = handle.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    records, skipped = [], 0
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            record = None
-        if (not isinstance(record, dict) or "seq" not in record
-                or record.get("kind") not in KINDS):
-            if position == len(lines) - 1:
-                continue  # torn final write — expected after a crash
-            skipped += 1
-            continue
-        records.append(record)
+    parsed, bad_lines, _ = read_jsonl(path)
+    records = [r for r in parsed
+               if "seq" in r and r.get("kind") in KINDS]
+    skipped = len(bad_lines) + len(parsed) - len(records)
     records.sort(key=lambda r: r["seq"])
     return records, skipped
 
@@ -204,13 +159,7 @@ def write_snapshot(directory, state, keep=2):
     path = os.path.join(directory, "snapshot-%06d.json" % index)
     document = dict(state)
     document["v"] = VERSION
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(document, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(directory)
+    write_atomic(path, json.dumps(document))
     for _, old in existing[:max(0, len(existing) + 1 - keep)]:
         try:
             os.remove(old)

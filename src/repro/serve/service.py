@@ -409,7 +409,7 @@ class AdvisorService:
                         problem_payload=payload["problem"],
                         controller_overrides=payload.get("controller"))
         self._attach_wal(tenant, objective)
-        resumed = self._resume_journals(tenant)
+        resumed, _ = self._reconcile_journals(tenant, adopt=False)
         self.tenants[tenant_id] = tenant
         self.slo.register(tenant_id, objective)
         self.metrics.counter("repro_serve_tenants_created_total").inc()
@@ -439,21 +439,6 @@ class AdvisorService:
             [fractions[name] for name in problem.object_names], dtype=float
         )
         return problem.make_layout(matrix)
-
-    def _resume_journals(self, tenant):
-        """Finish uncommitted migrations a drained/crashed predecessor
-        left in this tenant's state dir."""
-        resumed = 0
-        for path, journal in tenant.controller.journals():
-            if journal.committed:
-                continue  # the placement swap happened before the drain
-            tenant.controller.resume_migration(path)
-            resumed += 1
-        if resumed:
-            self.metrics.counter(
-                "repro_serve_migrations_resumed_total"
-            ).inc(resumed)
-        return resumed
 
     # ------------------------------------------------------------------
     # Durability: WAL, snapshots, recovery
@@ -592,10 +577,6 @@ class AdvisorService:
             })
         self.metrics.gauge("repro_serve_wal_skipped_lines",
                            tenant=tenant_id).set(tenant.wal_skipped)
-        if resumed:
-            self.metrics.counter(
-                "repro_serve_migrations_resumed_total"
-            ).inc(resumed)
         match = re.match(r"^tenant-(\d+)$", tenant_id)
         if match:
             self._seq = max(self._seq, int(match.group(1)))
@@ -606,29 +587,35 @@ class AdvisorService:
         self._snapshot_tenant(tenant)
         return resumed, adopted
 
-    def _reconcile_journals(self, tenant):
-        """Recovery-time journal sweep; returns (resumed, adopted).
+    def _reconcile_journals(self, tenant, adopt=True):
+        """The journal sweep at create and at recovery; returns
+        ``(resumed, adopted)``.
 
-        Three cases per journal: committed and already in the WAL's
-        swapped list — nothing to do; committed but never swapped in
-        the WAL (crash between journal commit and WAL append) — adopt
-        the layout without re-copying and write the missing swap record
-        now; uncommitted — resume, which finishes the tail chunks,
-        commits, installs, and WALs the swap, exactly once.
+        Per journal the controller still lists (cancelled ones are left
+        out): uncommitted — resume, which finishes the tail chunks,
+        commits, installs, and WALs the swap, exactly once; committed
+        and already in the WAL's swapped list — nothing to do;
+        committed but never swapped in the WAL (crash between journal
+        commit and WAL append) — with ``adopt``, take the layout without
+        re-copying and write the missing swap record now.  At create
+        (``adopt=False``) committed journals are left alone: their swap
+        happened before a predecessor drained.
         """
         resumed = adopted = 0
-        now = tenant.last_time if tenant.last_time is not None else 0.0
+        now = tenant.last_time
         for path, journal in tenant.controller.journals():
             name = os.path.basename(path)
-            if journal.committed:
-                if name in tenant._swapped_journals:
-                    continue
+            if not journal.committed:
+                tenant.controller.resume_migration(path, now=now)
+                resumed += 1
+            elif adopt and name not in tenant._swapped_journals:
                 tenant.controller.adopt_committed_swap(path, now=now)
                 tenant.record_swap(name)
                 adopted += 1
-            else:
-                tenant.controller.resume_migration(path)
-                resumed += 1
+        if resumed:
+            self.metrics.counter(
+                "repro_serve_migrations_resumed_total"
+            ).inc(resumed)
         return resumed, adopted
 
     # ------------------------------------------------------------------

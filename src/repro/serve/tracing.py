@@ -22,12 +22,12 @@ finished span lands at the parent-observed arrival time (see
 :meth:`repro.obs.trace.Tracer.graft_records` for the skew rules).
 """
 
-import json
 import os
 import threading
 import time
 from collections import deque
 
+from repro.jsonl import Appender
 from repro.obs import Instrumentation, TraceContext
 
 #: Default capacity of the debug trace ring.
@@ -209,29 +209,24 @@ class TraceRing:
 class AccessLog:
     """Append-only JSONL access log, one line per finished request.
 
-    Lines are written whole under a lock and flushed immediately, so a
-    tail -f (or the CI artifact collector) always sees complete JSON.
+    Lines are written whole under a lock and flushed immediately (not
+    fsynced: the log is diagnostic, not durable state), so a tail -f
+    (or the CI artifact collector) always sees complete JSON.  The file
+    is created with the first line.
     """
 
     def __init__(self, path):
         self.path = str(path)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._handle = open(self.path, "a")
+        self._log = Appender(self.path, fsync=False)
         self._lock = threading.Lock()
         self._closed = False
 
     def write(self, entry):
-        line = json.dumps(entry) + "\n"
         with self._lock:
-            if self._closed:
-                return
-            self._handle.write(line)
-            self._handle.flush()
+            if not self._closed:
+                self._log.append(entry)
 
     def close(self):
         with self._lock:
-            if not self._closed:
-                self._closed = True
-                self._handle.close()
+            self._closed = True
+            self._log.close()

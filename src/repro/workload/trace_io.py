@@ -8,9 +8,9 @@ compute the windowed statistics (request-rate time series, per-object
 totals) that a Rubicon-style characterization report shows.
 """
 
-import json
 from collections import defaultdict
 
+from repro.jsonl import read_records, write_jsonl
 from repro.storage.request import CompletionRecord
 
 _FIELDS = (
@@ -29,27 +29,18 @@ _FIELDS = (
 
 def save_trace(trace, path):
     """Write completion records to a JSON-lines file."""
-    with open(path, "w") as handle:
-        for record in trace:
-            handle.write(json.dumps({
-                field: getattr(record, field) for field in _FIELDS
-            }))
-            handle.write("\n")
+    write_jsonl(path, ({field: getattr(record, field) for field in _FIELDS}
+                       for record in trace))
 
 
 def load_trace(path):
-    """Read completion records from a JSON-lines file."""
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            records.append(CompletionRecord(**{
-                field: data[field] for field in _FIELDS
-            }))
-    return records
+    """Read completion records from a JSON-lines file.
+
+    Raises :class:`~repro.errors.ReproError` naming the first line that
+    is not a JSON object (a torn final line included).
+    """
+    return [CompletionRecord(**{field: data[field] for field in _FIELDS})
+            for data in read_records(path, "a completion record")]
 
 
 def rate_series(trace, window_s=1.0, obj=None, kind=None):

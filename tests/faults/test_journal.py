@@ -158,3 +158,34 @@ def test_loaded_journal_appends_further_records(tmp_path):
     final = MigrationJournal.load(path)
     assert final.done == {0, 1}
     assert final.committed
+
+
+def test_cancel_is_recorded_once_and_survives_a_load(tmp_path):
+    """An emergency that supersedes a migration marks its journal, so
+    recovery can tell it apart from one a crash merely interrupted."""
+    path = str(tmp_path / "m.jsonl")
+    journal = MigrationJournal.create(path, _plan(), chunk=units.mib(1))
+    journal.record_chunk(0)
+    journal.record_cancel()
+    journal.record_cancel()
+    # A chunk already in flight may still land after the cancel.
+    journal.record_chunk(1)
+    journal.close()
+    loaded = MigrationJournal.load(path)
+    assert loaded.cancelled and not loaded.committed
+    assert loaded.done == {0, 1}
+    with open(path) as handle:
+        kinds = [json.loads(line)["kind"] for line in handle]
+    assert kinds.count("cancel") == 1
+
+
+def test_journal_torn_inside_its_begin_record_loads_as_cancelled(tmp_path):
+    """A crash before the begin record was durable leaves an empty or
+    torn file; no data moved, so there is nothing to resume."""
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"kind": "begin", "vers')
+    loaded = MigrationJournal.load(str(path))
+    assert loaded.cancelled and loaded.total_chunks == 0
+    assert loaded.malformed == 1
+    path.write_text("")
+    assert MigrationJournal.load(str(path)).cancelled

@@ -1,5 +1,6 @@
-"""Durability primitives: WAL append/replay, snapshots, and the
-crash-truncation property.
+"""Durability primitives: WAL append/replay and snapshots (the
+crash-truncation property shared with the journal and the event log
+lives in ``tests/test_jsonl.py``).
 
 These tests exercise :mod:`repro.serve.durability` directly — no
 service, no sockets — so the replay semantics (torn final line,
@@ -9,10 +10,8 @@ independently of the recovery plumbing above them.
 
 import json
 import os
-import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.serve.durability import (DurabilityError, TenantWAL,
                                     load_snapshot, load_tenant_state,
@@ -183,81 +182,3 @@ def test_recover_state_dir_isolates_a_corrupt_tenant(tmp_path):
     states, errors = recover_state_dir(str(tmp_path))
     assert [s["tenant_id"] for s in states] == ["t1"]
     assert len(errors) == 1 and errors[0][0].endswith("bad")
-
-
-# ----------------------------------------------------------------------
-# The crash-truncation property
-# ----------------------------------------------------------------------
-
-def _build_walled_tenant(base, tail_kinds):
-    """A tenant directory: snapshot + a WAL tail of feeds and swaps.
-
-    Returns ``(directory, tail_records)`` where ``tail_records`` are
-    the post-snapshot WAL records in append order.
-    """
-    directory = os.path.join(base, "t1")
-    wal = TenantWAL(directory)
-    _create(wal)
-    wal.append("feed", clock_s=1.0, records_fed=10, chunks_fed=1,
-               resolves=0)
-    write_snapshot(directory, {
-        "tenant_id": "t1", "problem": {"objects": []},
-        "layout": {"a": [1.0]}, "clock_s": 1.0, "records_fed": 10,
-        "chunks_fed": 1, "resolves": 0, "journal_seq": 0,
-        "swapped_journals": [], "wal_seq": wal.seq,
-    })
-    wal.compact(wal.seq)
-    feeds, swaps = 1, 0
-    for kind in tail_kinds:
-        if kind == "feed":
-            feeds += 1
-            wal.append("feed", clock_s=float(feeds),
-                       records_fed=10 * feeds, chunks_fed=feeds,
-                       resolves=swaps)
-        else:
-            swaps += 1
-            wal.append("swap", journal="migration-%06d.jsonl" % swaps,
-                       journal_seq=swaps, resolves=swaps,
-                       layout={"a": [float(swaps)]})
-    wal.close()
-    return directory, read_wal(wal.path)[0]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    tail_kinds=st.lists(st.sampled_from(["feed", "swap"]), max_size=8),
-    cut=st.floats(0.0, 1.0),
-)
-def test_wal_truncated_at_any_byte_recovers_consistently(tail_kinds, cut):
-    """SIGKILL can cut the WAL at any byte past the last snapshot; the
-    replayed state must be the longest record prefix, with no duplicate
-    placement swaps and no regression below the snapshot."""
-    with tempfile.TemporaryDirectory() as base:
-        directory, full = _build_walled_tenant(base, tail_kinds)
-        path = os.path.join(directory, "wal.jsonl")
-        size = os.path.getsize(path)
-        offset = int(cut * size)
-        with open(path, "r+b") as handle:
-            handle.truncate(offset)
-
-        records, skipped = read_wal(path)
-        assert skipped == 0, "a clean truncation only tears the tail"
-        # Replay sees exactly the longest surviving record prefix.
-        assert records == full[: len(records)]
-
-        state = load_tenant_state(directory)
-        assert state is not None, "the snapshot floor always recovers"
-        assert state["tenant_id"] == "t1"
-        swaps = [r for r in records if r["kind"] == "swap"]
-        feeds = [r for r in records if r["kind"] == "feed"]
-        assert state["swapped_journals"] == [r["journal"] for r in swaps]
-        assert len(set(state["swapped_journals"])) \
-            == len(state["swapped_journals"])
-        assert state["journal_seq"] == (swaps[-1]["journal_seq"]
-                                        if swaps else 0)
-        assert state["layout"] == (swaps[-1]["layout"] if swaps
-                                   else {"a": [1.0]})
-        assert state["records_fed"] == (feeds[-1]["records_fed"]
-                                        if feeds else 10)
-        assert state["wal_seq"] == (records[-1]["seq"] if records
-                                    else 2), "seq floor is the snapshot"

@@ -20,6 +20,9 @@ import time
 
 import pytest
 
+from repro.faults.injector import FaultInjector
+from repro.faults.journal import MigrationJournal
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.serve.client import ServeClient
 from repro.serve.http import HttpFrontend
 
@@ -165,6 +168,92 @@ def test_committed_swap_missing_from_wal_is_adopted(tmp_path):
     commits = sum(1 for line in open(journal)
                   if json.loads(line)["kind"] == "commit")
     assert commits == 1, "adoption must not re-run the migration"
+
+
+def test_cancelled_journal_is_not_resumed_over_the_evacuation(tmp_path):
+    """A fail-stop of the SSD cancels the paced migration moving the hot
+    object onto it.  The next incarnation must leave that journal alone:
+    resuming it would put data back on the dead target."""
+    state = str(tmp_path / "state")
+
+    async def first():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            await service.create_tenant(_payload(controller=SLOW_COPY))
+            fed = await service.feed_trace_chunk("t1", hot_chunk(0.0, 10.0))
+            assert fed["migrating"], "expected an in-flight migration"
+            controller = service.tenants["t1"].controller
+            cancelled_layout = controller._pending.layout.fractions_by_name()
+            assert cancelled_layout["b"][1] > 0.1  # bound for the SSD
+            controller.attach_faults(FaultInjector(
+                FaultPlan([FaultEvent(time=10.5, kind="fail-stop",
+                                      target="d1")]),
+                targets=(), target_names=["d0", "d1"],
+            ))
+            await service.feed_trace_chunk("t1", hot_chunk(10.0, 20.0))
+            assert controller.log.of_kind("migration-cancelled")
+            return cancelled_layout
+        finally:
+            await service.drain()
+
+    cancelled_layout = asyncio.run(first())
+    journal, = glob.glob(os.path.join(state, "t1", "migration-*.jsonl"))
+    assert MigrationJournal.load(journal).cancelled
+
+    async def second():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            log = service.tenants["t1"].controller.log
+            return (service.recovery, service.tenant_status("t1")["layout"],
+                    log.of_kind("resume"))
+        finally:
+            await service.drain()
+
+    recovery, layout, resumes = asyncio.run(second())
+    assert recovery["recovered_tenants"] == 1
+    assert recovery["resumed_migrations"] == 0
+    assert resumes == []
+    assert layout != cancelled_layout
+    assert all(row[1] == 0.0 for row in layout.values()), \
+        "data must stay off the dead target"
+    assert not MigrationJournal.load(journal).committed
+
+
+def test_recovered_resume_is_stamped_at_the_trace_clock(tmp_path):
+    """A ctx-less resume at recovery happens at the tenant's trace
+    clock: its events and the drift rebase must not jump back to 0."""
+    state = str(tmp_path / "state")
+
+    async def first():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            await service.create_tenant(_payload(controller=SLOW_COPY))
+            fed = await service.feed_trace_chunk("t1", hot_chunk(0.0, 10.0))
+            assert fed["migrating"], "expected an in-flight migration"
+            return fed["clock_s"]
+        finally:
+            await service.drain()
+
+    clock = asyncio.run(first())
+    assert clock > 9.0
+
+    async def second():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            return service.recovery, service.tenants["t1"].controller.log
+        finally:
+            await service.drain()
+
+    recovery, log = asyncio.run(second())
+    assert recovery["resumed_migrations"] == 1
+    resume, = log.of_kind("resume")
+    migrated, = log.of_kind("migrated")
+    assert resume["time"] == pytest.approx(clock)
+    assert migrated["time"] == pytest.approx(clock)
 
 
 def test_idempotency_cache_survives_restart(tmp_path):
