@@ -112,6 +112,7 @@ class ObjectiveEvaluator:
             self.problem.models,
             stripe_size=self.problem.stripe_size,
             arrays=self.arrays,
+            groups=self._target_groups(),
         )
 
     def utilizations(self, matrix):

@@ -24,16 +24,19 @@ def _axis_coordinates(values, transform):
     return transform(array)
 
 
-def _bracket(coords, queries):
-    """Return (lower index, interpolation weight) clamped to the grid."""
-    idx = np.searchsorted(coords, queries, side="right") - 1
-    idx = np.clip(idx, 0, max(0, len(coords) - 2))
-    if len(coords) == 1:
-        return idx, np.zeros_like(queries, dtype=float)
-    lo = coords[idx]
-    hi = coords[idx + 1]
-    weight = np.clip((queries - lo) / np.maximum(hi - lo, 1e-12), 0.0, 1.0)
-    return idx, weight
+def _bracket(coords, spans, queries):
+    """Return (lower index, interpolation weight) clamped to the grid.
+
+    ``spans`` is ``np.maximum(np.diff(coords), 1e-12)``, precomputed per
+    table.
+    """
+    if coords.size == 1:
+        weight = np.zeros(np.shape(queries))
+        return weight.astype(np.intp), weight
+    idx = coords.searchsorted(queries, side="right") - 1
+    idx = np.minimum(np.maximum(idx, 0), coords.size - 2)
+    weight = (queries - coords.take(idx)) / spans.take(idx)
+    return idx, np.minimum(np.maximum(weight, 0.0), 1.0)
 
 
 class TableCostModel:
@@ -63,6 +66,22 @@ class TableCostModel:
         self._size_coords = _axis_coordinates(self.sizes, np.log)
         self._run_coords = _axis_coordinates(self.run_counts, np.log)
         self._chi_coords = _axis_coordinates(self.contentions, np.log1p)
+        self._size_spans, self._run_spans, self._chi_spans = (
+            np.maximum(np.diff(coords), 1e-12)
+            for coords in (self._size_coords, self._run_coords,
+                           self._chi_coords)
+        )
+        self._flat_costs = self.costs.ravel()
+        self._batch_key = ("table", self.sizes.tobytes(),
+                           self.run_counts.tobytes(),
+                           self.contentions.tobytes(), self.costs.tobytes())
+
+    def batch_key(self):
+        """Content identity: tables with equal grids and costs produce
+        identical lookups, so targets sharing a calibrated table batch
+        into one vectorized call.  Tables are immutable after
+        construction."""
+        return self._batch_key
 
     def lookup(self, sizes, run_counts, chis):
         """Interpolated per-request cost; fully vectorized.
@@ -70,41 +89,41 @@ class TableCostModel:
         Inputs broadcast together; values outside the calibrated grid are
         clamped to the nearest edge, as the paper's model does when asked
         about uncalibrated operating points.
+
+        With a single-point size axis (the pipeline's calibrations) the
+        size weight is zero and both size corners coincide, so the blend
+        reduces to 4 corners on the (run count × χ) plane; the result is
+        bit-identical to the full trilinear blend.
         """
-        size_q = np.log(np.maximum(np.asarray(sizes, dtype=float), 1.0))
         run_q = np.log(np.maximum(np.asarray(run_counts, dtype=float), 1.0))
         chi_q = np.log1p(np.maximum(np.asarray(chis, dtype=float), 0.0))
-        size_q, run_q, chi_q = np.broadcast_arrays(size_q, run_q, chi_q)
+        qi, qw = _bracket(self._run_coords, self._run_spans, run_q)
+        ci, cw = _bracket(self._chi_coords, self._chi_spans, chi_q)
+        # Flat indices into the C-ordered cost table; an axis with one
+        # point has a zero upper-corner stride (its hi index is its lo).
+        costs = self._flat_costs
+        n_runs, n_chis = self.costs.shape[1:]
+        q_step = n_chis if n_runs > 1 else 0
+        c_step = 1 if n_chis > 1 else 0
+        cw_lo, qw_lo = 1 - cw, 1 - qw
 
-        si, sw = _bracket(self._size_coords, size_q)
-        qi, qw = _bracket(self._run_coords, run_q)
-        ci, cw = _bracket(self._chi_coords, chi_q)
+        def plane(base):
+            c00 = costs.take(base) * cw_lo + costs.take(base + c_step) * cw
+            c01 = (costs.take(base + q_step) * cw_lo
+                   + costs.take(base + q_step + c_step) * cw)
+            return c00 * qw_lo + c01 * qw
 
-        s_hi = np.minimum(si + 1, len(self.sizes) - 1)
-        q_hi = np.minimum(qi + 1, len(self.run_counts) - 1)
-        c_hi = np.minimum(ci + 1, len(self.contentions) - 1)
-
-        def corner(a, b, c):
-            return self.costs[a, b, c]
-
-        c000 = corner(si, qi, ci)
-        c001 = corner(si, qi, c_hi)
-        c010 = corner(si, q_hi, ci)
-        c011 = corner(si, q_hi, c_hi)
-        c100 = corner(s_hi, qi, ci)
-        c101 = corner(s_hi, qi, c_hi)
-        c110 = corner(s_hi, q_hi, ci)
-        c111 = corner(s_hi, q_hi, c_hi)
-
-        c00 = c000 * (1 - cw) + c001 * cw
-        c01 = c010 * (1 - cw) + c011 * cw
-        c10 = c100 * (1 - cw) + c101 * cw
-        c11 = c110 * (1 - cw) + c111 * cw
-
-        c0 = c00 * (1 - qw) + c01 * qw
-        c1 = c10 * (1 - qw) + c11 * qw
-
-        return c0 * (1 - sw) + c1 * sw
+        base = qi * n_chis + ci
+        if self._size_coords.size == 1:
+            cost = plane(base)
+            shape = np.broadcast(sizes, cost).shape
+            return cost if shape == np.shape(cost) \
+                else np.broadcast_to(cost, shape).copy()
+        size_q = np.log(np.maximum(np.asarray(sizes, dtype=float), 1.0))
+        si, sw = _bracket(self._size_coords, self._size_spans, size_q)
+        base = base + si * (n_runs * n_chis)
+        return (plane(base) * (1 - sw)
+                + plane(base + n_runs * n_chis) * sw)
 
     @classmethod
     def from_samples(cls, samples, chi_grid=None):

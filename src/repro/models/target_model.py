@@ -115,8 +115,10 @@ def _batch_key(cost_model):
     """Structural identity of a cost model, or None when unbatchable.
 
     Cost models that can prove two instances produce identical lookups
-    expose a hashable ``batch_key()``; models without one (e.g.
-    per-target calibrated tables) fall back to singleton groups.
+    expose a hashable ``batch_key()``: structural for the analytic
+    models, content (grid and cost bytes) for calibrated tables, and the
+    wrapped key plus factor for scaled models.  Models without one fall
+    back to singleton groups.
     """
     key = getattr(cost_model, "batch_key", None)
     if key is None:
@@ -131,10 +133,11 @@ def batch_model_groups(models):
     """Group target indices whose read *and* write models are identical.
 
     Returns a list of ``(column_indices, representative_model)`` pairs
-    covering every target exactly once.  The evaluator's probe loop runs
-    one vectorized lookup per group instead of one per target, which is
-    the difference between O(M) and O(#distinct-models) Python-level
-    calls on homogeneous fleets.
+    covering every target exactly once.  Full evaluations and the
+    evaluator's probe loop run one vectorized lookup per group instead
+    of one per target, which is the difference between O(M) and
+    O(#distinct-models) Python-level calls on homogeneous fleets — for
+    example ten disks calibrated from one spec share one table.
     """
     groups = {}
     order = []
@@ -157,7 +160,7 @@ def batch_model_groups(models):
 
 def estimate_utilization_matrix(workloads, layout, models,
                                 stripe_size=units.DEFAULT_STRIPE_SIZE,
-                                arrays=None):
+                                arrays=None, groups=None):
     """Estimate the (N, M) matrix of utilizations µ_ij.
 
     Args:
@@ -168,6 +171,8 @@ def estimate_utilization_matrix(workloads, layout, models,
         arrays: Optional precomputed :func:`workload_arrays` result — the
             solver calls this function thousands of times on fixed
             workloads, so extraction is hoisted.
+        groups: Optional precomputed :func:`batch_model_groups` result
+            for ``models``, hoisted for the same reason.
 
     Returns:
         µ, an (N, M) numpy array.  ``µ.sum(axis=0)`` gives the target
@@ -188,7 +193,9 @@ def estimate_utilization_matrix(workloads, layout, models,
     chi = contention_factors(arrays["total_rate"], arrays["overlap"], layout)
 
     mu = np.zeros((n_objects, n_targets))
-    for cols, model in batch_model_groups(models):
+    if groups is None:
+        groups = batch_model_groups(models)
+    for cols, model in groups:
         read_cost = model.read_model.lookup(
             arrays["read_size"][:, None], run_counts[:, cols], chi[:, cols]
         )
